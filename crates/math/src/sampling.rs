@@ -14,7 +14,11 @@ use rand::Rng;
 /// Floyd's algorithm.
 ///
 /// The returned vector is sorted ascending, which downstream code relies on
-/// for building bitsets and computing intersections cheaply.
+/// for building bitsets and computing intersections cheaply.  The chosen
+/// set is kept in a word bitset (on the stack for `n ≤ 512`) when `n` is
+/// within a small multiple of `64·k`, and in a hash set otherwise, so a
+/// sparse draw from a huge universe costs `O(k)` memory, not `n/64` words.
+/// Both make the same RNG calls and yield the same subset.
 ///
 /// # Errors
 ///
@@ -38,14 +42,48 @@ pub fn sample_k_of_n<R: Rng + ?Sized>(rng: &mut R, k: u64, n: u64) -> crate::Res
     }
     // Floyd's algorithm: for j = n-k .. n-1, pick t uniform in [0, j]; insert
     // t unless already present, else insert j. Produces a uniform k-subset.
-    let mut chosen = std::collections::BTreeSet::new();
+    // `j` is never already present: every earlier pick is at most an
+    // earlier `j`.
+    const STACK_WORDS: usize = 8;
+    let words = n.div_ceil(64);
+    if words > 4 * k + STACK_WORDS as u64 {
+        let mut chosen = std::collections::HashSet::with_capacity(k as usize);
+        for j in (n - k)..n {
+            let t = rng.gen_range(0..=j);
+            if !chosen.insert(t) {
+                chosen.insert(j);
+            }
+        }
+        let mut out: Vec<u64> = chosen.into_iter().collect();
+        out.sort_unstable();
+        return Ok(out);
+    }
+    let mut stack = [0u64; STACK_WORDS];
+    let mut heap = Vec::new();
+    let bits: &mut [u64] = if words as usize <= STACK_WORDS {
+        &mut stack[..words as usize]
+    } else {
+        heap.resize(words as usize, 0);
+        &mut heap
+    };
     for j in (n - k)..n {
         let t = rng.gen_range(0..=j);
-        if !chosen.insert(t) {
-            chosen.insert(j);
+        let (word, bit) = ((t / 64) as usize, 1u64 << (t % 64));
+        if bits[word] & bit == 0 {
+            bits[word] |= bit;
+        } else {
+            bits[(j / 64) as usize] |= 1u64 << (j % 64);
         }
     }
-    Ok(chosen.into_iter().collect())
+    let mut out = Vec::with_capacity(k as usize);
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            out.push(w as u64 * 64 + u64::from(rest.trailing_zeros()));
+            rest &= rest - 1;
+        }
+    }
+    Ok(out)
 }
 
 /// Samples a uniformly random `k`-subset *excluding* the indices in
@@ -155,8 +193,70 @@ pub fn bernoulli_subset<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> crate::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Floyd's algorithm over an ordered set: the reference the bitset and
+    /// hash-set forms must reproduce draw for draw.
+    fn floyd_btreeset(rng: &mut ChaCha8Rng, k: u64, n: u64) -> Vec<u64> {
+        let mut chosen = std::collections::BTreeSet::new();
+        for j in (n - k)..n {
+            let t = rng.gen_range(0..=j);
+            if !chosen.insert(t) {
+                chosen.insert(j);
+            }
+        }
+        chosen.into_iter().collect()
+    }
+
+    fn assert_matches_reference(seed: u64, k: u64, n: u64) {
+        let mut fast = ChaCha8Rng::seed_from_u64(seed);
+        let mut reference = ChaCha8Rng::seed_from_u64(seed);
+        assert_eq!(
+            sample_k_of_n(&mut fast, k, n).unwrap(),
+            floyd_btreeset(&mut reference, k, n),
+            "subset for k={k} n={n} seed={seed}"
+        );
+        assert_eq!(
+            fast.next_u64(),
+            reference.next_u64(),
+            "RNG position after k={k} n={n} seed={seed}"
+        );
+    }
+
+    #[test]
+    fn sample_matches_btreeset_floyd_on_a_dense_grid() {
+        for n in 0..=300u64 {
+            for k in 0..=n {
+                assert_matches_reference(n * 1000 + k, k, n);
+            }
+        }
+    }
+
+    #[test]
+    fn sample_matches_btreeset_floyd_on_sparse_large_universes() {
+        for (seed, &(k, n)) in [
+            (5, 1_000_000),
+            (40, 1 << 20),
+            (1, 1 << 40),
+            (200, u64::MAX),
+            // 34 words: a heap bitset for k = 33, a hash set for k = 6
+            // (34 > 4·6 + 8).
+            (33, 2_113),
+            (6, 2_113),
+            // Hash-set draws dense enough that `t` collides (about 0.6 and
+            // 2 times per draw), so the insert-`j` branch runs.
+            (300, 80_000),
+            (1_000, 256_577),
+        ]
+        .iter()
+        .enumerate()
+        {
+            for rep in 0..20 {
+                assert_matches_reference(seed as u64 * 100 + rep, k, n);
+            }
+        }
+    }
 
     #[test]
     fn sample_rejects_k_greater_than_n() {

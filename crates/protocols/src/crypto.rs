@@ -16,6 +16,7 @@ use crate::value::{TaggedValue, Value};
 use crate::ClientId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A writer's secret signing key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,7 +51,10 @@ impl SigningKey {
 pub struct Signature(u64);
 
 /// The public side of the key registry: maps writers to verification
-/// material.
+/// material.  The map is shared: cloning a registry (every dissemination
+/// read session holds one) bumps a reference count, and only
+/// [`register`](Self::register) copies it, when another clone still shares
+/// it.
 ///
 /// # Examples
 ///
@@ -69,7 +73,7 @@ pub struct Signature(u64);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KeyRegistry {
-    secrets: HashMap<ClientId, u64>,
+    secrets: Arc<HashMap<ClientId, u64>>,
 }
 
 impl KeyRegistry {
@@ -81,7 +85,7 @@ impl KeyRegistry {
     /// Registers a writer and returns its signing key.
     pub fn register(&mut self, owner: ClientId, seed: u64) -> SigningKey {
         let key = SigningKey::derive(owner, seed);
-        self.secrets.insert(owner, key.secret);
+        Arc::make_mut(&mut self.secrets).insert(owner, key.secret);
         key
     }
 

@@ -525,7 +525,9 @@ pub struct DigestDiff {
 /// that record is strictly fresher than the advertised timestamp; when the
 /// digest is [`complete`](GossipDigest::complete) it additionally
 /// volunteers records for keys it holds that the digest never mentioned
-/// (the sender provably holds nothing for them).
+/// (the sender provably holds nothing for them).  The digest's entries must
+/// be sorted by key, as [`plan_digest`] emits them; the delta's records
+/// then are too.
 pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDiff> {
     let receiver = cluster.server(digest.to);
     if receiver.behavior() != Behavior::Correct {
@@ -545,34 +547,23 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
             GossipRecord::Plain(receiver.stored_plain(variable))
         }
     };
-    let mut records = Vec::new();
-    let mut avoided = Vec::new();
-    // Timestamps decide the diff; a record is cloned only when it actually
-    // rides in the delta (proving redundancy — the common case — is free).
-    for &(variable, advertised) in &digest.entries {
-        let mine = timestamp_of(variable);
-        if mine > advertised {
-            records.push((variable, stored(variable)));
-        } else if mine != Timestamp::ZERO {
-            avoided.push(variable);
-        }
-    }
-    if digest.complete {
-        let advertised: BTreeSet<VariableId> = digest.entries.iter().map(|&(v, _)| v).collect();
-        // The dense store walks held keys in ascending order already.
-        let extra: Vec<VariableId> = if digest.signed {
-            receiver.signed_variables().collect()
-        } else {
-            receiver.plain_variables().collect()
-        };
-        for variable in extra {
-            if advertised.contains(&variable) || timestamp_of(variable) == Timestamp::ZERO {
-                continue;
-            }
-            records.push((variable, stored(variable)));
-        }
-        records.sort_unstable_by_key(|&(v, _)| v);
-    }
+    // Held keys the digest never mentioned are volunteered only when the
+    // digest is complete.
+    let (records, avoided) = match (digest.complete, digest.signed) {
+        (false, _) => merge_diff(&digest.entries, std::iter::empty(), timestamp_of, stored),
+        (true, true) => merge_diff(
+            &digest.entries,
+            receiver.signed_variables(),
+            timestamp_of,
+            stored,
+        ),
+        (true, false) => merge_diff(
+            &digest.entries,
+            receiver.plain_variables(),
+            timestamp_of,
+            stored,
+        ),
+    };
     Some(DigestDiff {
         delta: GossipDelta {
             from: digest.to,
@@ -581,6 +572,44 @@ pub fn diff_digest(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDif
         },
         avoided,
     })
+}
+
+/// The body of [`diff_digest`]: one merge walk over the advertised
+/// `entries` and the receiver's `held` keys, both ascending by key, so the
+/// delta comes out sorted without a set or a sort.  Returns the delta's
+/// records and the avoided keys.
+fn merge_diff(
+    entries: &[(VariableId, Timestamp)],
+    held: impl Iterator<Item = VariableId>,
+    timestamp_of: impl Fn(VariableId) -> Timestamp,
+    stored: impl Fn(VariableId) -> GossipRecord,
+) -> (Vec<(VariableId, GossipRecord)>, Vec<VariableId>) {
+    let mut held = held.peekable();
+    let mut records = Vec::new();
+    let mut avoided = Vec::new();
+    let volunteer = |variable: VariableId, records: &mut Vec<(VariableId, GossipRecord)>| {
+        if timestamp_of(variable) != Timestamp::ZERO {
+            records.push((variable, stored(variable)));
+        }
+    };
+    // Timestamps decide the diff; a record is cloned only when it actually
+    // rides in the delta (proving redundancy — the common case — is free).
+    for &(variable, advertised) in entries {
+        while let Some(unadvertised) = held.next_if(|&h| h < variable) {
+            volunteer(unadvertised, &mut records);
+        }
+        held.next_if_eq(&variable);
+        let mine = timestamp_of(variable);
+        if mine > advertised {
+            records.push((variable, stored(variable)));
+        } else if mine != Timestamp::ZERO {
+            avoided.push(variable);
+        }
+    }
+    for unadvertised in held {
+        volunteer(unadvertised, &mut records);
+    }
+    (records, avoided)
 }
 
 /// Applies a delta back at the digest sender, evaluating its behaviour at
@@ -1063,6 +1092,123 @@ mod tests {
             cluster.server(ServerId::new(0)).stored_plain(3).timestamp,
             Timestamp::new(7, 1)
         );
+    }
+
+    /// The set-and-sort `diff_digest` the merge walk replaced: advertised
+    /// keys into a set, held keys into a vector, volunteered records
+    /// appended, the whole delta sorted at the end.
+    fn diff_digest_reference(cluster: &Cluster, digest: &GossipDigest) -> Option<DigestDiff> {
+        let receiver = cluster.server(digest.to);
+        if receiver.behavior() != Behavior::Correct {
+            return None;
+        }
+        let timestamp_of = |v: VariableId| {
+            if digest.signed {
+                receiver.stored_signed_timestamp(v)
+            } else {
+                receiver.stored_plain_timestamp(v)
+            }
+        };
+        let stored = |v: VariableId| {
+            if digest.signed {
+                GossipRecord::Signed(receiver.stored_signed(v))
+            } else {
+                GossipRecord::Plain(receiver.stored_plain(v))
+            }
+        };
+        let mut records = Vec::new();
+        let mut avoided = Vec::new();
+        for &(variable, advertised) in &digest.entries {
+            let mine = timestamp_of(variable);
+            if mine > advertised {
+                records.push((variable, stored(variable)));
+            } else if mine != Timestamp::ZERO {
+                avoided.push(variable);
+            }
+        }
+        if digest.complete {
+            let advertised: BTreeSet<VariableId> = digest.entries.iter().map(|&(v, _)| v).collect();
+            let extra: Vec<VariableId> = if digest.signed {
+                receiver.signed_variables().collect()
+            } else {
+                receiver.plain_variables().collect()
+            };
+            for variable in extra {
+                if advertised.contains(&variable) || timestamp_of(variable) == Timestamp::ZERO {
+                    continue;
+                }
+                records.push((variable, stored(variable)));
+            }
+            records.sort_unstable_by_key(|&(v, _)| v);
+        }
+        Some(DigestDiff {
+            delta: GossipDelta {
+                from: digest.to,
+                to: digest.from,
+                records,
+            },
+            avoided,
+        })
+    }
+
+    #[test]
+    fn diff_digest_matches_the_set_and_sort_reference() {
+        let mut registry = KeyRegistry::new();
+        let key = registry.register(1, 5);
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        // Dense ids and a few hashed ids past the dense tier.
+        let keys: Vec<VariableId> = (0..40).chain([1 << 16, (1 << 16) + 3]).collect();
+        for trial in 0..40u64 {
+            let n = 8u32;
+            let mut cluster = Cluster::new(Universe::new(n));
+            for i in 0..n {
+                let server = cluster.server_mut(ServerId::new(i));
+                for &var in &keys {
+                    if rng.gen_bool(0.4) {
+                        let ts = Timestamp::new(rng.gen_range(1..6), 1);
+                        let value = Value::from_u64(rng.gen_range(0..1000));
+                        server.store_plain_if_fresher(var, TaggedValue::new(value.clone(), ts));
+                        server.store_signed_if_fresher(var, SignedValue::create(&key, value, ts));
+                    }
+                }
+            }
+            if trial % 5 == 0 {
+                cluster.set_behavior(ServerId::new(3), Behavior::Crashed);
+            }
+            for signed in [false, true] {
+                let mut digests =
+                    plan_digest(&cluster, 3, signed, &KeySelector::All, &mut rng).digests;
+                let only: BTreeSet<VariableId> =
+                    keys.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+                digests.extend(
+                    plan_digest(&cluster, 2, signed, &KeySelector::Only(only), &mut rng).digests,
+                );
+                // Complete digests whose entries include unheld keys at
+                // ZERO and arbitrary advertised timestamps.
+                for to in 0..n {
+                    let mut entries = Vec::new();
+                    for &v in &keys {
+                        if rng.gen_bool(0.5) {
+                            entries.push((v, Timestamp::new(rng.gen_range(0..6), 1)));
+                        }
+                    }
+                    digests.push(GossipDigest {
+                        from: ServerId::new((to + 1) % n),
+                        to: ServerId::new(to),
+                        signed,
+                        complete: true,
+                        entries,
+                    });
+                }
+                for digest in &digests {
+                    assert_eq!(
+                        diff_digest(&cluster, digest),
+                        diff_digest_reference(&cluster, digest),
+                        "trial {trial}, digest {digest:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //! * [`ReadSession`] / [`WriteSession`] — per-operation state machines: the
 //!   caller feeds one reply at a time ([`ReadSession::on_plain_reply`],
 //!   [`WriteSession::on_ack`], …) until the session reports
-//!   [`SessionStatus::Complete`], then condenses the collected replies with
-//!   [`ReadSession::finish`] / [`WriteSession::finish`].  A session that
-//!   never gathers `q` replies (crashes, timeouts) can still be finished
-//!   early; it condenses whatever arrived, exactly like the partial-quorum
-//!   semantics of the atomic methods.
+//!   [`SessionStatus::Complete`], then takes the result with
+//!   [`ReadSession::finish`] / [`WriteSession::finish`].  A read session
+//!   folds each reply into its running result as it arrives rather than
+//!   storing the replies.  A session that never gathers `q` replies
+//!   (crashes, timeouts) can still be finished early; it yields the result
+//!   over whatever arrived, exactly like the partial-quorum semantics of
+//!   the atomic methods.
 //!
 //! Because the first `q` responders of a uniformly drawn probe set are
 //! themselves (conditioned on the responder set) a uniformly distributed
@@ -103,14 +105,24 @@ pub enum ReadMode {
     },
 }
 
-/// An in-progress read operation: collects one reply per probed server until
-/// `q` servers have responded.
+/// An in-progress read operation: folds one reply per probed server into
+/// the running result until `q` servers have responded.
+///
+/// The safe and dissemination reads return the highest-timestamped reply,
+/// so the session keeps only a responder count and the best reply so far
+/// (replaced on `>=`, so the *last* of several equal maxima wins).
+/// Dissemination replies are verified as they arrive and only verifying
+/// ones are folded in.  The masking read keeps its votes, because the
+/// threshold counts equal pairs across all replies.  A reply of the kind
+/// the mode does not read (a signed reply to a safe session, say) counts
+/// as a responder and is otherwise ignored.
 #[derive(Debug)]
 pub struct ReadSession {
     mode: ReadMode,
     needed: usize,
-    plain: Vec<TaggedValue>,
-    signed: Vec<SignedValue>,
+    responders: usize,
+    best: Option<TaggedValue>,
+    votes: Vec<TaggedValue>,
 }
 
 impl ReadSession {
@@ -120,8 +132,9 @@ impl ReadSession {
         ReadSession {
             mode,
             needed: needed.max(1),
-            plain: Vec::new(),
-            signed: Vec::new(),
+            responders: 0,
+            best: None,
+            votes: Vec::new(),
         }
     }
 
@@ -132,12 +145,12 @@ impl ReadSession {
 
     /// Number of servers that have replied so far.
     pub fn responders(&self) -> usize {
-        self.plain.len() + self.signed.len()
+        self.responders
     }
 
     /// `true` once `needed` replies have arrived.
     pub fn is_complete(&self) -> bool {
-        self.responders() >= self.needed
+        self.responders >= self.needed
     }
 
     /// `true` if this session expects signed replies (dissemination mode).
@@ -147,14 +160,35 @@ impl ReadSession {
 
     /// Feeds one plain reply (safe and masking modes).
     pub fn on_plain_reply(&mut self, _from: ServerId, reply: TaggedValue) -> SessionStatus {
-        self.plain.push(reply);
+        self.responders += 1;
+        match self.mode {
+            ReadMode::Safe => self.fold(reply),
+            ReadMode::Masking { .. } => self.votes.push(reply),
+            ReadMode::Dissemination(_) => {}
+        }
         self.status()
     }
 
     /// Feeds one signed reply (dissemination mode).
     pub fn on_signed_reply(&mut self, _from: ServerId, reply: SignedValue) -> SessionStatus {
-        self.signed.push(reply);
+        self.responders += 1;
+        if let ReadMode::Dissemination(registry) = &self.mode {
+            if registry.verify_signed(&reply) {
+                self.fold(reply.tagged);
+            }
+        }
         self.status()
+    }
+
+    /// Keeps `reply` if its timestamp is at least the best one so far.
+    fn fold(&mut self, reply: TaggedValue) {
+        if self
+            .best
+            .as_ref()
+            .is_none_or(|best| reply.timestamp >= best.timestamp)
+        {
+            self.best = Some(reply);
+        }
     }
 
     fn status(&self) -> SessionStatus {
@@ -165,17 +199,17 @@ impl ReadSession {
         }
     }
 
-    /// Condenses the replies collected so far into the protocol's read
-    /// result.  May be called before the session is complete (timeout,
-    /// exhausted probe set): it then behaves exactly like the atomic read
-    /// over the partial reply set.
+    /// The protocol's read result over the replies received so far.  May
+    /// be called before the session is complete (timeout, exhausted probe
+    /// set): it then behaves exactly like the atomic read over the partial
+    /// reply set.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::QuorumUnavailable`] if no server replied at
     /// all.
     pub fn finish(&self) -> crate::Result<Option<TaggedValue>> {
-        if self.responders() == 0 {
+        if self.responders == 0 {
             return Err(ProtocolError::QuorumUnavailable {
                 contacted: self.needed,
                 responded: 0,
@@ -183,20 +217,14 @@ impl ReadSession {
         }
         Ok(match &self.mode {
             ReadMode::Safe => self
-                .plain
-                .iter()
-                .max_by(|a, b| a.timestamp.cmp(&b.timestamp))
+                .best
+                .as_ref()
                 .filter(|tv| tv.timestamp != Timestamp::ZERO)
                 .cloned(),
-            ReadMode::Dissemination(registry) => self
-                .signed
-                .iter()
-                .filter(|sv| registry.verify_signed(sv))
-                .max_by(|a, b| a.tagged.timestamp.cmp(&b.tagged.timestamp))
-                .map(|sv| sv.tagged.clone()),
+            ReadMode::Dissemination(_) => self.best.clone(),
             ReadMode::Masking { threshold } => {
                 let mut counts: HashMap<&TaggedValue, usize> = HashMap::new();
-                for tv in &self.plain {
+                for tv in &self.votes {
                     *counts.entry(tv).or_insert(0) += 1;
                 }
                 counts
@@ -388,6 +416,147 @@ mod tests {
         s.on_signed_reply(ServerId::new(0), forged);
         s.on_signed_reply(ServerId::new(1), good.clone());
         assert_eq!(s.finish().unwrap(), Some(good.tagged));
+    }
+
+    /// The collect-then-condense session the folding one replaced: every
+    /// reply stored, condensed only in `finish`.
+    struct StoringSession {
+        mode: ReadMode,
+        plain: Vec<TaggedValue>,
+        signed: Vec<SignedValue>,
+    }
+
+    impl StoringSession {
+        fn finish(&self) -> Option<Option<TaggedValue>> {
+            if self.plain.len() + self.signed.len() == 0 {
+                return None;
+            }
+            Some(match &self.mode {
+                ReadMode::Safe => self
+                    .plain
+                    .iter()
+                    .max_by(|a, b| a.timestamp.cmp(&b.timestamp))
+                    .filter(|tv| tv.timestamp != Timestamp::ZERO)
+                    .cloned(),
+                ReadMode::Dissemination(registry) => self
+                    .signed
+                    .iter()
+                    .filter(|sv| registry.verify_signed(sv))
+                    .max_by(|a, b| a.tagged.timestamp.cmp(&b.tagged.timestamp))
+                    .map(|sv| sv.tagged.clone()),
+                ReadMode::Masking { threshold } => {
+                    let mut counts: HashMap<&TaggedValue, usize> = HashMap::new();
+                    for tv in &self.plain {
+                        *counts.entry(tv).or_insert(0) += 1;
+                    }
+                    counts
+                        .into_iter()
+                        .filter(|(tv, count)| {
+                            *count >= (*threshold).max(1) && tv.timestamp != Timestamp::ZERO
+                        })
+                        .map(|(tv, _)| tv)
+                        .max_by(|a, b| a.timestamp.cmp(&b.timestamp))
+                        .cloned()
+                }
+            })
+        }
+    }
+
+    #[test]
+    fn folding_finish_equals_collect_then_condense() {
+        use rand::Rng;
+        let mut registry = KeyRegistry::new();
+        let key = registry.register(1, 7);
+        let forger = SigningKey::derive(1, 666);
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let modes = [
+            ReadMode::Safe,
+            ReadMode::Dissemination(registry.clone()),
+            ReadMode::Masking { threshold: 1 },
+            ReadMode::Masking { threshold: 2 },
+            ReadMode::Masking { threshold: 3 },
+        ];
+        for mode in &modes {
+            for stream in 0..400 {
+                let needed = rng.gen_range(1..8);
+                let mut folding = ReadSession::new(mode.clone(), needed);
+                let mut storing = StoringSession {
+                    mode: mode.clone(),
+                    plain: Vec::new(),
+                    signed: Vec::new(),
+                };
+                assert!(folding.finish().is_err() && storing.finish().is_none());
+                // Few timestamps (ZERO included) and few values, so equal
+                // timestamps with different values are common.
+                for _ in 0..rng.gen_range(1..12) {
+                    let ts = Timestamp::new(rng.gen_range(0..4), 1);
+                    let ts = if ts.counter() == 0 {
+                        Timestamp::ZERO
+                    } else {
+                        ts
+                    };
+                    let value = Value::from_u64(rng.gen_range(0..3));
+                    let from = ServerId::new(0);
+                    let status = match rng.gen_range(0..4) {
+                        0 => {
+                            let sv = SignedValue::create(&forger, value, ts);
+                            storing.signed.push(sv.clone());
+                            folding.on_signed_reply(from, sv)
+                        }
+                        1 => {
+                            let sv = if ts == Timestamp::ZERO {
+                                SignedValue::unsigned_initial()
+                            } else {
+                                SignedValue::create(&key, value, ts)
+                            };
+                            storing.signed.push(sv.clone());
+                            folding.on_signed_reply(from, sv)
+                        }
+                        _ => {
+                            let tv = TaggedValue::new(value, ts);
+                            storing.plain.push(tv.clone());
+                            folding.on_plain_reply(from, tv)
+                        }
+                    };
+                    let received = storing.plain.len() + storing.signed.len();
+                    assert_eq!(folding.responders(), received);
+                    assert_eq!(status == SessionStatus::Complete, received >= needed);
+                    // A partial finish after every reply, not only the last.
+                    let got = folding.finish().expect("at least one reply");
+                    let want = storing.finish().expect("at least one reply");
+                    if let ReadMode::Masking { threshold } = mode {
+                        // Masking keeps the old vote counting, whose
+                        // HashMap order breaks ties between different
+                        // pairs at the top timestamp: compare the
+                        // timestamp and that the pair met the threshold.
+                        assert_eq!(
+                            got.as_ref().map(|tv| tv.timestamp),
+                            want.as_ref().map(|tv| tv.timestamp),
+                            "{mode:?} stream {stream}"
+                        );
+                        if let Some(tv) = got {
+                            let votes = storing.plain.iter().filter(|v| **v == tv).count();
+                            assert!(votes >= *threshold);
+                        }
+                    } else {
+                        assert_eq!(got, want, "{mode:?} stream {stream}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folding_keeps_the_last_of_equal_maxima() {
+        let ts = Timestamp::new(5, 1);
+        let mut s = ReadSession::new(ReadMode::Safe, 3);
+        s.on_plain_reply(ServerId::new(0), TaggedValue::new(Value::from_u64(1), ts));
+        s.on_plain_reply(ServerId::new(1), TaggedValue::new(Value::from_u64(2), ts));
+        s.on_plain_reply(ServerId::new(2), tv(9, 4));
+        assert_eq!(
+            s.finish().unwrap(),
+            Some(TaggedValue::new(Value::from_u64(2), ts))
+        );
     }
 
     #[test]

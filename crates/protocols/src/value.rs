@@ -3,11 +3,16 @@
 use crate::timestamp::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// An opaque replicated value.
 ///
-/// Values are byte strings; helpers are provided for the common case of
-/// numeric payloads used in tests and experiments.
+/// Values are immutable byte strings held in shared storage: cloning one
+/// (a server answering a read, storing a write, or gossiping a record)
+/// bumps a reference count instead of copying the bytes.  Equality,
+/// ordering and hashing are by content, exactly as for a byte vector.
+/// Helpers are provided for the common case of numeric payloads used in
+/// tests and experiments.
 ///
 /// # Examples
 ///
@@ -17,23 +22,23 @@ use std::fmt;
 /// assert_eq!(v.as_u64(), Some(7));
 /// assert_eq!(Value::new(vec![1, 2, 3]).as_bytes(), &[1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Value(Vec<u8>);
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct Value(Arc<[u8]>);
 
 impl Value {
     /// Wraps raw bytes.
     pub fn new(bytes: Vec<u8>) -> Self {
-        Value(bytes)
+        Value(bytes.into())
     }
 
     /// Encodes a `u64` as a little-endian value.
     pub fn from_u64(v: u64) -> Self {
-        Value(v.to_le_bytes().to_vec())
+        Value(Arc::new(v.to_le_bytes()))
     }
 
     /// Encodes a string.
     pub fn from_str_value(s: &str) -> Self {
-        Value(s.as_bytes().to_vec())
+        Value(Arc::from(s.as_bytes()))
     }
 
     /// The raw bytes.
@@ -43,7 +48,7 @@ impl Value {
 
     /// Decodes the value as a little-endian `u64`, if it is exactly 8 bytes.
     pub fn as_u64(&self) -> Option<u64> {
-        self.0.as_slice().try_into().ok().map(u64::from_le_bytes)
+        (*self.0).try_into().ok().map(u64::from_le_bytes)
     }
 
     /// Length of the value in bytes.
@@ -68,7 +73,7 @@ impl fmt::Display for Value {
 
 impl From<Vec<u8>> for Value {
     fn from(bytes: Vec<u8>) -> Self {
-        Value(bytes)
+        Value::new(bytes)
     }
 }
 
@@ -101,10 +106,11 @@ impl TaggedValue {
     }
 
     /// The pair every replica starts with: an empty value at
-    /// [`Timestamp::ZERO`].
+    /// [`Timestamp::ZERO`].  Allocation-free: the empty shared slice is a
+    /// static.
     pub fn initial() -> Self {
         TaggedValue {
-            value: Value::new(Vec::new()),
+            value: Value(Arc::default()),
             timestamp: Timestamp::ZERO,
         }
     }
@@ -144,6 +150,63 @@ mod tests {
     fn value_display() {
         assert_eq!(Value::from_u64(4).to_string(), "u64:4");
         assert_eq!(Value::new(vec![1, 2, 3]).to_string(), "bytes[3]");
+    }
+
+    #[test]
+    fn clones_share_storage() {
+        let v = Value::from_str_value("shared payload");
+        let c = v.clone();
+        assert_eq!(v.as_bytes().as_ptr(), c.as_bytes().as_ptr());
+        let tv = TaggedValue::new(v, Timestamp::new(1, 1));
+        assert_eq!(
+            tv.clone().value.as_bytes().as_ptr(),
+            c.as_bytes().as_ptr(),
+            "cloning the pair bumps a count, it copies no bytes"
+        );
+        // Equal content in separate storage is still equal.
+        let other = Value::from_str_value("shared payload");
+        assert_ne!(other.as_bytes().as_ptr(), c.as_bytes().as_ptr());
+        assert_eq!(other, c);
+    }
+
+    #[test]
+    fn comparisons_and_hashing_match_the_byte_vector() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash_of<T: Hash>(t: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+        let samples: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0],
+            vec![1, 2, 3],
+            vec![1, 2],
+            vec![1, 2, 3, 0],
+            vec![255; 8],
+            7u64.to_le_bytes().to_vec(),
+            b"FORGED".to_vec(),
+        ];
+        for a in &samples {
+            let va = Value::new(a.clone());
+            assert_eq!(hash_of(&va), hash_of(a), "hash of {a:?}");
+            assert_eq!(
+                va.as_u64(),
+                a.as_slice().try_into().ok().map(u64::from_le_bytes)
+            );
+            let shown = match va.as_u64() {
+                Some(x) => format!("u64:{x}"),
+                None => format!("bytes[{}]", a.len()),
+            };
+            assert_eq!(va.to_string(), shown);
+            for b in &samples {
+                let vb = Value::new(b.clone());
+                assert_eq!(va == vb, a == b, "{a:?} == {b:?}");
+                assert_eq!(va.cmp(&vb), a.cmp(b), "{a:?} cmp {b:?}");
+            }
+        }
+        assert_eq!(TaggedValue::initial().value, Value::new(Vec::new()));
     }
 
     #[test]

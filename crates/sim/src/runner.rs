@@ -1870,22 +1870,6 @@ pub(crate) fn retry_delay(config: &SimConfig, attempt: u32) -> SimTime {
     config.retry_backoff * config.op_timeout.max(0.0) * (1u64 << doublings) as f64
 }
 
-/// Convenience helper: run the same configuration against several systems
-/// and collect `(name, report)` pairs — used by the comparison experiments.
-pub fn compare_systems(
-    systems: &[&dyn QuorumSystem],
-    kind: ProtocolKind,
-    config: SimConfig,
-) -> Vec<(String, SimReport)> {
-    systems
-        .iter()
-        .map(|sys| {
-            let report = Simulation::new(*sys, kind, config).run();
-            (sys.name(), report)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2035,19 +2019,6 @@ mod tests {
             report.empirical_load(),
             sys.load()
         );
-    }
-
-    #[test]
-    fn compare_systems_helper_names_outputs() {
-        let a = EpsilonIntersecting::new(49, 14).unwrap();
-        let b = Majority::new(49).unwrap();
-        let systems: Vec<&dyn QuorumSystem> = vec![&a, &b];
-        let mut config = quick_config(10);
-        config.duration = 10.0;
-        let results = compare_systems(&systems, ProtocolKind::Safe, config);
-        assert_eq!(results.len(), 2);
-        assert!(results[0].0.contains("R(n=49"));
-        assert!(results[1].0.contains("threshold"));
     }
 
     #[test]
