@@ -74,6 +74,7 @@ fn dissemination_runs_are_bit_identical_per_seed() {
 }
 
 #[test]
+#[allow(clippy::excessive_precision)]
 fn masking_runs_are_bit_identical_per_seed() {
     let sys = ProbabilisticMasking::with_target_epsilon(100, 5, 1e-3).unwrap();
     let mut config = hostile_config(9);
@@ -85,6 +86,24 @@ fn masking_runs_are_bit_identical_per_seed() {
     let b = Simulation::new(&sys, kind, config).run();
     assert_eq!(a, b);
     assert!(a.completed_reads > 0);
+    // Pinned as well, not only compared with itself: the masking read's
+    // vote counting and the timeout path are frozen to the bit.
+    assert_eq!(a.completed_reads, 1188);
+    assert_eq!(a.completed_writes, 302);
+    assert_eq!(a.stale_reads, 1);
+    assert_eq!(a.empty_reads, 0);
+    assert_eq!(a.unwritten_reads, 1);
+    assert_eq!(a.unavailable_ops, 0);
+    assert_eq!(a.concurrent_reads, 289);
+    assert_eq!(a.retries, 0);
+    assert_eq!(a.timed_out_attempts, 39);
+    assert_eq!(a.events_processed, 67069);
+    assert_eq!(a.max_in_flight, 6);
+    assert_eq!(a.total_operations, 1490);
+    assert_eq!(a.mean_in_flight, 0.72007283127511);
+    assert_eq!(a.mean_latency(), 0.01209691169288464);
+    assert_eq!(a.p99_latency(), 0.05000000000000071);
+    assert_eq!(server_access_hash(&a), 7478786284715774200);
 }
 
 #[test]
@@ -644,6 +663,134 @@ fn partition_heal_fingerprint_is_pinned() {
     assert_eq!(rs.post_heal_coverage, vec![2, 20, 26, 28, 30]);
     assert_eq!(rs.mean_in_flight, 0.45921389786412087);
     assert_eq!(server_access_hash(&rs), 16193927228281797792);
+
+    // The same heal under digest/delta gossip, in both families: digests
+    // and deltas are gated at delivery, and the sequential engine draws a
+    // delta's latency lazily while the spine draws both legs eagerly.
+    config.diffusion = Some(
+        DiffusionPolicy::digest_delta(0.2, 2)
+            .with_push_latency(LatencyModel::Exponential { mean: 2e-3 }),
+    );
+    let plan = FailurePlan::none().with_partition(5.0, 12.0, 2);
+    let r = Simulation::new(&sys, ProtocolKind::Safe, config)
+        .with_failure_plan(plan.clone())
+        .run();
+    assert_eq!(r.completed_reads, 1290);
+    assert_eq!(r.completed_writes, 332);
+    assert_eq!(r.stale_reads, 1);
+    assert_eq!(r.unwritten_reads, 125);
+    assert_eq!(r.concurrent_reads, 28);
+    assert_eq!(r.gossip_rounds, 100);
+    assert_eq!(r.gossip_digests, 16254);
+    assert_eq!(r.gossip_pushes, 24902);
+    assert_eq!(r.gossip_stores, 18490);
+    assert_eq!(r.gossip_redundant_pushes_avoided, 375525);
+    assert_eq!(r.events_processed, 75834);
+    assert_eq!(r.dropped_probes, 7208);
+    assert_eq!(r.partition_blocked_gossip, 3541);
+    assert_eq!(r.heals_observed, 1);
+    assert_eq!(r.post_heal_rounds_to_coverage, 3);
+    assert_eq!(r.post_heal_coverage_completions, 1);
+    assert_eq!(r.post_heal_coverage, vec![18, 25, 29, 30]);
+    assert_eq!(r.per_component_stale_reads, vec![1, 0]);
+    assert_eq!(r.mean_in_flight, 0.4543579319033427);
+    assert_eq!(r.mean_latency(), 0.005603017952703035);
+    assert_eq!(r.p99_latency(), 0.013027126992800397);
+    assert_eq!(server_access_hash(&r), 5754154602802211032);
+    let coverage: u64 = r.per_variable.iter().map(|v| v.coverage_rounds_sum).sum();
+    assert_eq!(coverage, 520);
+
+    let mut cs = config;
+    cs.num_shards = 4;
+    cs.threads = 2;
+    let rs = Simulation::new(&sys, ProtocolKind::Safe, cs)
+        .with_failure_plan(plan.clone())
+        .run();
+    let mut cs2 = config;
+    cs2.num_shards = 2;
+    cs2.threads = 1;
+    let rs2 = Simulation::new(&sys, ProtocolKind::Safe, cs2)
+        .with_failure_plan(plan)
+        .run();
+    assert_eq!(rs, rs2, "digest heal must be shard- and thread-invariant");
+    assert_eq!(rs.completed_reads, 1290);
+    assert_eq!(rs.concurrent_reads, 24);
+    assert_eq!(rs.gossip_digests, 16286);
+    assert_eq!(rs.gossip_pushes, 24702);
+    assert_eq!(rs.gossip_stores, 18329);
+    assert_eq!(rs.gossip_redundant_pushes_avoided, 376221);
+    assert_eq!(rs.events_processed, 75751);
+    assert_eq!(rs.dropped_probes, 7144);
+    assert_eq!(rs.partition_blocked_gossip, 3509);
+    assert_eq!(rs.post_heal_rounds_to_coverage, 3);
+    assert_eq!(rs.post_heal_coverage, vec![18, 26, 29, 30]);
+    assert_eq!(rs.per_component_stale_reads, vec![0, 0]);
+    assert_eq!(rs.mean_in_flight, 0.45921389786412087);
+    assert_eq!(rs.mean_latency(), 0.005662250694559051);
+    assert_eq!(rs.p99_latency(), 0.012944505085215496);
+    assert_eq!(server_access_hash(&rs), 16193927228281797792);
+    let coverage: u64 = rs.per_variable.iter().map(|v| v.coverage_rounds_sum).sum();
+    assert_eq!(coverage, 518);
+}
+
+/// Backed-off retries under a mid-run crash wave, frozen in both families:
+/// 95 of 100 servers die at t = 10 s, so many attempts resolve with zero
+/// replies and retry after `retry_backoff · op_timeout · 2^(k−1)` — the
+/// only path that schedules `RetryAttempt` events — and a few operations
+/// exhaust their retries and count as unavailable.
+#[test]
+#[allow(clippy::excessive_precision)]
+fn backoff_crash_wave_fingerprint_is_pinned() {
+    let sys = EpsilonIntersecting::with_target_epsilon(100, 1e-3).unwrap();
+    let mut config = sharded_base();
+    config.seed = 1004;
+    config.retry_backoff = 0.5;
+    let wave = || FailurePlan::none().with_crash_wave(10.0, (0..95).map(ServerId::new));
+    let r = Simulation::new(&sys, ProtocolKind::Safe, config)
+        .with_failure_plan(wave())
+        .run();
+    assert_eq!(r.completed_reads, 1263);
+    assert_eq!(r.completed_writes, 337);
+    assert_eq!(r.stale_reads, 251);
+    assert_eq!(r.empty_reads, 52);
+    assert_eq!(r.unwritten_reads, 106);
+    assert_eq!(r.unavailable_ops, 6);
+    assert_eq!(r.concurrent_reads, 35);
+    assert_eq!(r.retries, 209);
+    assert_eq!(r.events_processed, 49100);
+    assert_eq!(r.max_in_flight, 9);
+    assert_eq!(r.total_operations, 1815);
+    assert_eq!(r.mean_in_flight, 0.8754552710162535);
+    assert_eq!(r.mean_latency(), 0.01057240451215162);
+    assert_eq!(r.p99_latency(), 0.0974553791794932);
+    assert_eq!(server_access_hash(&r), 15405095393776157171);
+
+    let mut cs = config;
+    cs.num_shards = 4;
+    cs.threads = 2;
+    let rs = Simulation::new(&sys, ProtocolKind::Safe, cs)
+        .with_failure_plan(wave())
+        .run();
+    let mut cs2 = config;
+    cs2.num_shards = 2;
+    cs2.threads = 1;
+    let rs2 = Simulation::new(&sys, ProtocolKind::Safe, cs2)
+        .with_failure_plan(wave())
+        .run();
+    assert_eq!(rs, rs2, "backoff runs must be shard- and thread-invariant");
+    assert_eq!(rs.completed_reads, 1262);
+    assert_eq!(rs.completed_writes, 337);
+    assert_eq!(rs.stale_reads, 281);
+    assert_eq!(rs.empty_reads, 46);
+    assert_eq!(rs.unavailable_ops, 7);
+    assert_eq!(rs.retries, 233);
+    assert_eq!(rs.events_processed, 49748);
+    assert_eq!(rs.max_in_flight, 10);
+    assert_eq!(rs.total_operations, 1839);
+    assert_eq!(rs.mean_in_flight, 0.9252994099360556);
+    assert_eq!(rs.mean_latency(), 0.01112815358149362);
+    assert_eq!(rs.p99_latency(), 0.09812031773155816);
+    assert_eq!(server_access_hash(&rs), 13139570355929377547);
 }
 
 /// The adaptive hot-key adversary, frozen in both families — and checked
