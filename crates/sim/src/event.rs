@@ -9,10 +9,9 @@
 //! [`FailurePlan`](crate::failure::FailurePlan) take effect *between* the
 //! probes of an ongoing operation.
 //!
-//! [`EventEngine`] wraps the deterministic [`EventQueue`] with the
-//! accounting the reports need: processed-event counts (the unit of the
-//! engine-throughput benchmark) and a time-weighted in-flight operation
-//! gauge.
+//! The events of one world pop from a deterministic
+//! [`EventQueue`](crate::time::EventQueue); `FlightGauge` is the
+//! sequential engine's time-weighted in-flight operation gauge.
 //!
 //! # Event vocabulary
 //!
@@ -39,7 +38,7 @@
 //!   version summary travels out, and only the records its sender provably
 //!   lacks travel back.
 
-use crate::time::{EventQueue, SimTime};
+use crate::time::SimTime;
 use pqs_core::universe::ServerId;
 
 /// Identifier of one simulated client operation (its index in the generated
@@ -214,11 +213,14 @@ impl<T> PendingSlab<T> {
     }
 }
 
-/// The event loop driver: a deterministic queue plus engine-level metrics.
+/// The sequential engine's time-weighted in-flight operation gauge.
+///
+/// It integrates at **every popped event** ([`advance`](Self::advance)),
+/// not only at transitions; the sharded engine instead rebuilds the gauge
+/// from logged transitions at merge time, which rounds differently — each
+/// family pins its own value to the bit.
 #[derive(Debug, Default)]
-pub struct EventEngine {
-    queue: EventQueue<Event>,
-    events_processed: u64,
+pub(crate) struct FlightGauge {
     in_flight: u64,
     max_in_flight: u64,
     in_flight_area: f64,
@@ -230,75 +232,33 @@ pub struct EventEngine {
     busy_until: SimTime,
 }
 
-impl EventEngine {
-    /// Creates an empty engine at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at absolute simulation time `time`.
-    pub fn schedule(&mut self, time: SimTime, event: Event) {
-        self.queue.schedule(time, event);
-    }
-
-    /// Bulk-schedules a gossip round's messages via
-    /// [`EventQueue::schedule_batch`]: the batch is stably sorted by time
-    /// (so the pop order is bit-identical to one-by-one scheduling) and
-    /// drained, leaving the buffer's capacity for the next round.
-    pub fn schedule_batch(&mut self, batch: &mut Vec<(SimTime, Event)>) {
-        self.queue.schedule_batch(batch);
-    }
-
-    /// Pops the next event in time order (FIFO among ties), advancing the
-    /// clock and the time-weighted in-flight integral.
-    pub fn next_event(&mut self) -> Option<(SimTime, Event)> {
-        let (time, event) = self.queue.pop()?;
-        let now = self.queue.now();
+impl FlightGauge {
+    /// Advances the time-weighted integral to `now`, the time of the event
+    /// just popped.
+    pub(crate) fn advance(&mut self, now: SimTime) {
         if now > self.last_event_time {
             self.in_flight_area += self.in_flight as f64 * (now - self.last_event_time);
             self.last_event_time = now;
         }
-        self.events_processed += 1;
-        Some((time, event))
     }
 
-    /// The current simulation time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Marks one client operation as having entered the system.
-    pub fn op_started(&mut self) {
+    /// Marks one client operation as having entered the system at `now`.
+    pub(crate) fn op_started(&mut self, now: SimTime) {
         self.in_flight += 1;
         self.max_in_flight = self.max_in_flight.max(self.in_flight);
-        self.busy_until = self.busy_until.max(self.queue.now());
+        self.busy_until = self.busy_until.max(now);
     }
 
     /// Marks one client operation as having left the system (completed or
-    /// given up).
-    pub fn op_finished(&mut self) {
+    /// given up) at `now`.
+    pub(crate) fn op_finished(&mut self, now: SimTime) {
         debug_assert!(self.in_flight > 0, "op_finished without matching start");
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.busy_until = self.busy_until.max(self.queue.now());
-    }
-
-    /// Number of operations currently in flight.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
+        self.busy_until = self.busy_until.max(now);
     }
 
     /// Largest number of simultaneously in-flight operations observed.
-    pub fn max_in_flight(&self) -> u64 {
+    pub(crate) fn max_in_flight(&self) -> u64 {
         self.max_in_flight
     }
 
@@ -306,7 +266,7 @@ impl EventEngine {
     /// which operations existed (0 before any time has passed).  Events
     /// popped after the last operation drained — stale timeouts, failure
     /// transitions scheduled beyond the workload — do not dilute the mean.
-    pub fn mean_in_flight(&self) -> f64 {
+    pub(crate) fn mean_in_flight(&self) -> f64 {
         if self.busy_until <= 0.0 {
             0.0
         } else {
@@ -320,72 +280,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_time_order_and_counts_events() {
-        let mut e = EventEngine::new();
-        e.schedule(2.0, Event::OpArrival { op: 1 });
-        e.schedule(1.0, Event::OpArrival { op: 0 });
-        e.schedule(
-            3.0,
-            Event::FailureTransition {
-                server: ServerId::new(4),
-                crash: true,
-            },
-        );
-        assert_eq!(e.pending(), 3);
-        assert_eq!(e.next_event(), Some((1.0, Event::OpArrival { op: 0 })));
-        assert_eq!(e.next_event(), Some((2.0, Event::OpArrival { op: 1 })));
-        assert!(matches!(
-            e.next_event(),
-            Some((3.0, Event::FailureTransition { crash: true, .. }))
-        ));
-        assert_eq!(e.next_event(), None);
-        assert_eq!(e.events_processed(), 3);
-        assert_eq!(e.now(), 3.0);
-    }
-
-    #[test]
     fn in_flight_gauge_is_time_weighted() {
-        let mut e = EventEngine::new();
-        e.schedule(1.0, Event::OpArrival { op: 0 });
-        e.schedule(2.0, Event::OpArrival { op: 1 });
-        e.schedule(4.0, Event::OpTimeout { op: 0, attempt: 0 });
+        let mut g = FlightGauge::default();
         // t=1: one op enters. t=2: a second enters. t=4: both leave.
-        e.next_event();
-        e.op_started();
-        assert_eq!(e.in_flight(), 1);
-        e.next_event();
-        e.op_started();
-        assert_eq!(e.max_in_flight(), 2);
-        e.next_event();
-        e.op_finished();
-        e.op_finished();
-        assert_eq!(e.in_flight(), 0);
+        g.advance(1.0);
+        g.op_started(1.0);
+        assert_eq!(g.in_flight, 1);
+        g.advance(2.0);
+        g.op_started(2.0);
+        assert_eq!(g.max_in_flight(), 2);
+        g.advance(4.0);
+        g.op_finished(4.0);
+        g.op_finished(4.0);
+        assert_eq!(g.in_flight, 0);
         // Area: [0,1): 0, [1,2): 1, [2,4): 2 => 5 over 4 seconds.
-        assert!((e.mean_in_flight() - 5.0 / 4.0).abs() < 1e-12);
+        assert!((g.mean_in_flight() - 5.0 / 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn trailing_events_do_not_dilute_the_in_flight_mean() {
-        let mut e = EventEngine::new();
-        e.schedule(1.0, Event::OpArrival { op: 0 });
-        e.schedule(3.0, Event::OpTimeout { op: 0, attempt: 0 });
-        // A failure transition scheduled long after the workload drains
-        // (e.g. a "never" crash wave) and a stale timeout must not stretch
-        // the denominator.
-        e.schedule(
-            1e6,
-            Event::FailureTransition {
-                server: ServerId::new(0),
-                crash: true,
-            },
-        );
-        e.next_event();
-        e.op_started();
-        e.next_event();
-        e.op_finished();
-        e.next_event();
+        let mut g = FlightGauge::default();
+        g.advance(1.0);
+        g.op_started(1.0);
+        g.advance(3.0);
+        g.op_finished(3.0);
+        // A failure transition popped long after the workload drains (e.g.
+        // a "never" crash wave) must not stretch the denominator.
+        g.advance(1e6);
         // One op in flight over [1, 3), busy until t=3: mean = 2/3.
-        assert!((e.mean_in_flight() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((g.mean_in_flight() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -411,11 +334,9 @@ mod tests {
 
     #[test]
     fn empty_engine_reports_zeroes() {
-        let mut e = EventEngine::new();
-        assert_eq!(e.next_event(), None);
-        assert_eq!(e.mean_in_flight(), 0.0);
-        assert_eq!(e.max_in_flight(), 0);
-        assert_eq!(e.in_flight(), 0);
-        assert_eq!(e.pending(), 0);
+        let g = FlightGauge::default();
+        assert_eq!(g.mean_in_flight(), 0.0);
+        assert_eq!(g.max_in_flight(), 0);
+        assert_eq!(g.in_flight, 0);
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! * [`time`] — simulation time and the deterministic event queue.
 //! * [`event`] — the event vocabulary (`OpArrival`, `ProbeReply`,
-//!   `OpTimeout`, `RetryAttempt`, `FailureTransition`) and the
-//!   [`event::EventEngine`] driver with its throughput/concurrency
-//!   accounting.
+//!   `OpTimeout`, `RetryAttempt`, `FailureTransition`, membership and
+//!   gossip events), the pending gossip-payload slab and the sequential
+//!   engine's in-flight gauge.
 //! * [`latency`] — per-message latency models (fixed, uniform, exponential,
 //!   Pareto long-tail).
 //! * [`workload`] — open-loop workload generation (Poisson arrivals,
@@ -39,6 +39,9 @@
 //!   multi-core sharded engine (per-variable event queues drained on
 //!   worker threads between deterministic spine barriers) with a
 //!   bit-identical report for any shard count ≥ 2 and any thread count.
+//!   Both engines drive the same event world (`shard`), which owns the
+//!   operation lifecycle; they differ only in RNG source and metrics
+//!   sink.
 //!
 //! ## Example
 //!

@@ -800,7 +800,7 @@ mod tests {
     #[test]
     fn merge_walks_the_in_flight_gauge_like_the_sequential_engine() {
         // Ops: #0 in flight over [1, 4), #1 over [2, 4): area 5 over busy
-        // time 4, exactly the sequential EventEngine's gauge on the same
+        // time 4, exactly the sequential engine's gauge on the same
         // history.
         let mut a = ShardAccumulator::default();
         let mut b = ShardAccumulator::default();

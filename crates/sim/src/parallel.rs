@@ -4,10 +4,11 @@
 //! [`run_sharded`] executes a [`Simulation`] with
 //! [`SimConfig::num_shards`](crate::runner::SimConfig::num_shards) ≥ 2:
 //!
-//! 1. The workload trace and failure plan are derived on the main RNG
-//!    stream exactly as in the sequential engine, then each
-//!    [`ShardWorld`] seeds the arrivals of the variables it owns
-//!    (`variable % num_shards`) plus the full crash schedule.
+//! 1. [`Simulation::run_with_stats`] derives the workload trace and
+//!    failure plan on the main RNG stream, the same derivation the
+//!    sequential engine runs; then each [`World`] seeds the arrivals of
+//!    the variables it owns (`variable % num_shards`) plus the full crash
+//!    and membership schedules, and draws from per-variable streams.
 //! 2. With no diffusion configured there is no cross-shard traffic at all:
 //!    every shard drains to completion independently (on up to
 //!    [`SimConfig::threads`](crate::runner::SimConfig::threads) worker
@@ -36,106 +37,54 @@
 use crate::failure::FailurePlan;
 use crate::metrics::{merge_shard_reports, EngineStageTimings, SimReport};
 use crate::runner::{
-    digest_selector, ConvergenceTracker, GossipMode, HealTracking, ProtocolKind, Simulation,
-    COVERAGE_TARGET,
+    digest_selector, gossip_stream, GossipMode, ProtocolKind, RoundAccounting, Simulation,
 };
-use crate::shard::{RoundBatch, ShardWorld};
+use crate::shard::{DeltaLeg, RoundBatch, Streams, World};
 use crate::time::SimTime;
-use crate::workload::WorkloadConfig;
+use crate::workload::Operation;
 use pqs_core::system::QuorumSystem;
 #[cfg(debug_assertions)]
 use pqs_core::universe::ServerId;
+#[cfg(debug_assertions)]
 use pqs_protocols::cluster::Cluster;
 use pqs_protocols::diffusion;
 use pqs_protocols::server::{Behavior, VariableId};
 use pqs_protocols::timestamp::Timestamp;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Runs the simulation on the sharded engine.  Called from
-/// [`Simulation::run_with_stats`] when `num_shards ≥ 2`.
+/// Runs the simulation on the sharded engine over the trace
+/// [`Simulation::run_with_stats`] derived.  Called when `num_shards ≥ 2`.
 pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
     sim: &Simulation<'_, S>,
+    plan: &FailurePlan,
+    ops: &[Operation],
+    run_start: Instant,
 ) -> (SimReport, EngineStageTimings) {
-    let run_start = Instant::now();
     let mut stages = EngineStageTimings::default();
     let config = sim.config;
     let num_shards = config.num_shards as u64;
+    let nvars = config.keyspace.keys as usize;
     debug_assert!(num_shards >= 2);
 
-    // Trace derivation — the exact main-RNG draw order of the sequential
-    // engine, so the workload and failure plan are engine-independent.  A
-    // caller-supplied plan is borrowed, never cloned: crash waves can
-    // carry thousands of transitions and the engine only reads them.
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let derived_plan;
-    let plan: &FailurePlan = match &sim.plan {
-        Some(plan) => plan,
-        None => {
-            let mut plan = FailurePlan::none();
-            if config.byzantine > 0 {
-                plan =
-                    plan.with_random_byzantine(sim.system.universe(), config.byzantine, &mut rng);
-            }
-            if config.crash_probability > 0.0 {
-                plan = plan.with_independent_crashes(
-                    sim.system.universe(),
-                    config.crash_probability,
-                    0.0,
-                    &mut rng,
-                );
-            }
-            derived_plan = plan;
-            &derived_plan
-        }
-    };
-    let byz_behavior = match sim.kind {
-        ProtocolKind::Dissemination => Behavior::ByzantineStale,
-        _ => Behavior::ByzantineForge,
-    };
-    let ops = WorkloadConfig {
-        duration: config.duration,
-        arrival_rate: config.arrival_rate,
-        read_fraction: config.read_fraction,
-        keyspace: config.keyspace,
-    }
-    .generate(&mut rng);
-
-    let mut worlds: Vec<ShardWorld<'_, S>> = (0..num_shards)
-        .map(|shard| ShardWorld::new(sim, &ops, plan, byz_behavior, shard))
+    let mut worlds: Vec<World<'_, S>> = (0..num_shards)
+        .map(|shard| {
+            let streams = Streams::per_key(config.seed, config.keyspace.keys);
+            World::new(sim, ops, plan, shard, streams)
+        })
         .collect();
     let threads = (config.threads as usize).min(worlds.len()).max(1);
 
-    let nvars = config.keyspace.keys as usize;
-    let mut coverage_rounds_sum = vec![0u64; nvars];
-    let mut coverage_events = vec![0u64; nvars];
-    let mut rounds: u64 = 0;
+    let mut rounds = RoundAccounting::new(nvars);
     let mut digests_planned: u64 = 0;
     let mut digests_blocked: u64 = 0;
-    // Post-heal re-convergence accounting, spine-level like the coverage
-    // trackers (no-op without partition windows).
-    let mut heals = HealTracking::default();
 
     if let Some(policy) = config.diffusion {
-        assert!(
-            policy.period > 0.0 && policy.period.is_finite(),
-            "diffusion period must be positive and finite"
-        );
-        assert!(policy.fanout >= 1, "diffusion fanout must be at least 1");
-
         // The spine's planning cluster: behaviour timeline plus the union
         // of every shard's per-key records, synchronised at each barrier.
-        let mut spine = Cluster::new(sim.system.universe());
-        spine.reserve_variables(config.keyspace.keys);
-        spine.corrupt_all(plan.byzantine.iter().copied(), byz_behavior);
-        for absent in plan.initially_absent() {
-            spine.set_behavior(absent, Behavior::Crashed);
-        }
-        let mut gossip_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut spine = sim.initial_cluster(plan);
+        let mut gossip_rng = gossip_stream(config.seed);
         let gossip_signed = matches!(sim.kind, ProtocolKind::Dissemination);
-        let mut trackers: Vec<ConvergenceTracker> = vec![ConvergenceTracker::default(); nvars];
         let mut crash_cursor = 0usize;
         let mut membership_cursor = 0usize;
         let mut next_gossip_id: u64 = 0;
@@ -198,7 +147,6 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
             stages.sync_seconds += sync_start.elapsed().as_secs_f64();
 
             let plan_start = Instant::now();
-            rounds += 1;
             let (coverage, correct_servers) = match policy.mode {
                 GossipMode::PushAll => {
                     let round_plan = diffusion::plan_cluster_round(
@@ -252,6 +200,7 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
                         for &entry in &digest.entries {
                             entry_buckets[(entry.0 % num_shards) as usize].push(entry);
                         }
+                        let leg = DeltaLeg::Spine { id, rtt: delta_rtt };
                         for (bucket, batch) in entry_buckets.iter_mut().zip(batches.iter_mut()) {
                             // An incomplete digest with no entries for this
                             // shard can neither transfer nor avoid
@@ -269,30 +218,13 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
                                 entries: bucket.clone(),
                             };
                             bucket.clear();
-                            batch.digests.push((t + digest_rtt, id, sub, delta_rtt));
+                            batch.digests.push((t + digest_rtt, sub, leg));
                         }
                     }
                     (round_plan.coverage, round_plan.correct_servers)
                 }
             };
-
-            // Rounds-to-coverage accounting, identical to the sequential
-            // engine's (the snapshot comes from the same planner).
-            let target = ((correct_servers as f64 * COVERAGE_TARGET).ceil() as u32).max(1);
-            for cov in &coverage {
-                let tracker = &mut trackers[cov.variable as usize];
-                if cov.freshest > tracker.freshest {
-                    tracker.freshest = cov.freshest;
-                    tracker.birth_round = round;
-                    tracker.covered = false;
-                }
-                if !tracker.covered && cov.freshest == tracker.freshest && cov.holders >= target {
-                    tracker.covered = true;
-                    coverage_rounds_sum[cov.variable as usize] += round - tracker.birth_round;
-                    coverage_events[cov.variable as usize] += 1;
-                }
-            }
-            heals.on_round(plan, t, round, &coverage, target, nvars);
+            rounds.on_round(plan, t, round, &coverage, correct_servers);
             stages.plan_seconds += plan_start.elapsed().as_secs_f64();
 
             let route_start = Instant::now();
@@ -325,31 +257,21 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
         blocked_delta_ids.extend(world.deltas_blocked.iter().copied());
     }
 
-    let mut report = merge_shard_reports(
-        worlds
-            .into_iter()
-            .map(ShardWorld::into_accumulator)
-            .collect(),
-    );
-    report.gossip_rounds = rounds;
+    let mut report = merge_shard_reports(worlds.into_iter().map(World::into_accumulator).collect());
     // Like the sequential engine, a digest a partition blocked was planned
     // but never delivered.
     report.gossip_digests = digests_planned - digests_blocked;
     report.partition_blocked_gossip += digests_blocked + blocked_delta_ids.len() as u64;
     report.membership_events = plan.memberships.len() as u64;
-    heals.finish_into(&mut report);
+    rounds.finish_into(&mut report);
     // Spine-level events: crash and membership transitions (replayed per
     // shard but one event each), rounds, digest deliveries and delta
     // deliveries.
     report.events_processed += plan.crashes.len() as u64
         + plan.memberships.len() as u64
-        + rounds
+        + report.gossip_rounds
         + digests_planned
         + delta_ids.len() as u64;
-    for v in 0..nvars {
-        report.per_variable[v].coverage_rounds_sum = coverage_rounds_sum[v];
-        report.per_variable[v].coverage_events = coverage_events[v];
-    }
     stages.total_seconds = run_start.elapsed().as_secs_f64();
     (report, stages)
 }
@@ -358,24 +280,22 @@ pub(crate) fn run_sharded<S: QuorumSystem + ?Sized>(
 /// `threads` scoped worker threads.  Purely an execution choice: shards
 /// share nothing while draining, so the interleaving cannot matter.
 fn drain_all<S: QuorumSystem + ?Sized>(
-    worlds: &mut [ShardWorld<'_, S>],
+    worlds: &mut [World<'_, S>],
     barrier: Option<SimTime>,
     threads: usize,
 ) {
+    let drain = |world: &mut World<'_, S>| {
+        let round = world.drain_until(barrier);
+        debug_assert!(round.is_none(), "shards never schedule gossip rounds");
+    };
     if threads <= 1 || worlds.len() <= 1 {
-        for world in worlds {
-            world.drain_until(barrier);
-        }
+        worlds.iter_mut().for_each(drain);
         return;
     }
     let chunk = worlds.len().div_ceil(threads);
     std::thread::scope(|scope| {
         for chunk_worlds in worlds.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for world in chunk_worlds {
-                    world.drain_until(barrier);
-                }
-            });
+            scope.spawn(move || chunk_worlds.iter_mut().for_each(drain));
         }
     });
 }
@@ -389,7 +309,7 @@ fn drain_all<S: QuorumSystem + ?Sized>(
 #[cfg(debug_assertions)]
 fn assert_sync_matches_full_resync<S: QuorumSystem + ?Sized>(
     sim: &Simulation<'_, S>,
-    worlds: &[ShardWorld<'_, S>],
+    worlds: &[World<'_, S>],
     spine: &Cluster,
     signed: bool,
 ) {
@@ -457,7 +377,7 @@ fn assert_sync_matches_full_resync<S: QuorumSystem + ?Sized>(
 /// times from each variable's owning shard into the caller's reused
 /// buffers, for the digest key policies.
 fn gather_write_state<S: QuorumSystem + ?Sized>(
-    worlds: &[ShardWorld<'_, S>],
+    worlds: &[World<'_, S>],
     counts: &mut [u64],
     last: &mut [SimTime],
 ) {
